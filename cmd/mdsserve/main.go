@@ -342,7 +342,8 @@ func openDB(storeDir, dataPath string, dim, shards int, tc txnConfig) (shard.DB,
 // shard<i> subdirectories otherwise) and, for a sharded deployment,
 // assembles the scatter-gather router over them. A -data corpus is
 // loaded only into a store that is still empty, so restarting with the
-// same command line does not re-ingest.
+// same command line does not re-ingest, and is folded into each node's
+// base index right away (foldSeed).
 func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, error) {
 	var seqs []*core.Sequence
 	if dataPath != "" {
@@ -373,10 +374,15 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 				db.Close()
 				return nil, err
 			}
+			if err := foldSeed(db); err != nil {
+				db.Close()
+				return nil, err
+			}
 		}
 		return db, nil
 	}
 	nodes := make([]shard.Node, shards)
+	tdbs := make([]*txn.DB, shards)
 	for i := range nodes {
 		db, err := open(filepath.Join(tc.dir, fmt.Sprintf("shard%d", i)))
 		if err != nil {
@@ -385,7 +391,7 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 			}
 			return nil, fmt.Errorf("opening durable shard %d: %w", i, err)
 		}
-		nodes[i] = db
+		nodes[i], tdbs[i] = db, db
 	}
 	sdb, err := shard.NewWithNodes(nodes)
 	if err != nil {
@@ -401,8 +407,25 @@ func openDurable(dataPath string, dim, shards int, tc txnConfig) (shard.DB, erro
 			sdb.Close()
 			return nil, err
 		}
+		if err := foldSeed(tdbs...); err != nil {
+			sdb.Close()
+			return nil, err
+		}
 	}
 	return sdb, nil
+}
+
+// foldSeed checkpoints nodes just seeded from -data. The first fold
+// into an empty base is one STR bulk load, so the seed is served from
+// the index at once instead of from the unfolded delta scan until
+// -checkpoint-every records accumulate.
+func foldSeed(nodes ...*txn.DB) error {
+	for i, n := range nodes {
+		if err := n.Checkpoint(); err != nil {
+			return fmt.Errorf("checkpointing seeded node %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // readData loads an mdsgen dataset (binary or CSV).

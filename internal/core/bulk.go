@@ -20,15 +20,9 @@ import (
 // a later crash recovery. Returned ids are dense and in input order. As
 // with Add, the database keeps references to the sequences.
 func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
-	segs, err := db.partitionAll(seqs)
+	segs, err := PartitionAll(seqs, db.opts.Dim, db.opts.Partition)
 	if err != nil || len(segs) == 0 {
 		return nil, err
-	}
-	// One region notification covers the whole batch: the union of every
-	// added sequence's bounds.
-	var wrote geom.Rect
-	for _, g := range segs {
-		wrote.ExtendRect(g.Bounds())
 	}
 
 	db.mu.Lock()
@@ -36,77 +30,71 @@ func (db *Database) AddAll(seqs []*Sequence) ([]uint32, error) {
 	if db.pg == nil {
 		return nil, errors.New("core: database closed")
 	}
-
-	if len(db.seqs) > 0 {
-		// Bulk path needs an empty tree; insert the pre-partitioned batch
-		// sequentially, undoing the whole batch on any failure.
-		ids := make([]uint32, len(seqs))
-		for i, g := range segs {
-			id, err := db.addSegmentedLocked(g)
-			if err != nil {
-				db.unwindLocked(ids[:i])
-				return nil, fmt.Errorf("core: bulk insert of sequence %d: %w", i, err)
-			}
-			ids[i] = id
-		}
-		db.notifyWrite(wrote)
-		db.met.RecordBulkAdd(len(seqs))
-		db.met.SetShape(db.live, db.tree.Len())
-		return ids, nil
+	if len(db.seqs) == 0 {
+		return db.bulkLoadLocked(segs, nil)
 	}
 
-	var items []rtree.Item
+	// Bulk path needs an empty tree; insert the pre-partitioned batch
+	// sequentially, undoing the whole batch on any failure. One region
+	// notification covers the whole batch: the union of every added
+	// sequence's bounds.
+	var wrote geom.Rect
 	ids := make([]uint32, len(seqs))
 	for i, g := range segs {
-		id := uint32(i)
-		seqs[i].ID = id
-		ids[i] = id
-		for j, m := range g.MBRs {
-			items = append(items, rtree.Item{Rect: m.Rect, Ref: rtree.PackRef(id, uint32(j))})
+		id, err := db.addSegmentedLocked(g)
+		if err != nil {
+			db.unwindLocked(ids[:i])
+			return nil, fmt.Errorf("core: bulk insert of sequence %d: %w", i, err)
 		}
+		ids[i] = id
+		wrote.ExtendRect(g.Bounds())
 	}
-	if err := db.tree.BulkLoad(items); err != nil {
-		return nil, err
-	}
-	db.seqs = segs
-	db.live = len(segs)
 	db.notifyWrite(wrote)
 	db.met.RecordBulkAdd(len(seqs))
 	db.met.SetShape(db.live, db.tree.Len())
 	return ids, nil
 }
 
-// AddAllSegmented bulk-loads a corpus that is already partitioned — the
-// zero-deserialization path of the v2 segment store, whose files carry
-// the Segmented columnar form directly. The database must be empty; ids
-// are assigned densely in input order, exactly as AddAll would. With
-// leaves nil the R*-tree is STR bulk-loaded from the sequences' MBRs;
-// with leaves set (each inner slice one packed leaf page of refs, as
-// recorded by the store's packed-tree section) the leaf grouping is
+// AddAllSegmented bulk-loads an already-partitioned directory into an
+// empty database — the single bulk entry point for every id layout: the
+// v2 segment store's zero-deserialization load, and the transaction
+// layer's first checkpoint fold and snapshot reload. segs[i] receives id
+// i. A nil slot is a tombstone: its id is reserved with no sequence and
+// no index entries, and looking it up yields nil — the state Remove
+// leaves behind — so a directory with removed ids round-trips with every
+// live id in place. Len and the metrics count only non-nil slots.
+//
+// With leaves nil the R*-tree is STR bulk-loaded from the sequences'
+// MBRs. With leaves set (each inner slice one packed leaf page of refs,
+// as recorded by the store's packed-tree section) the leaf grouping is
 // reused verbatim and only the upper levels are tiled, skipping the
-// leaf-level sorts. Every ref must name a valid (sequence, MBR) pair and
-// the refs must cover every MBR exactly once; violations reject the
-// whole load. The database keeps references to the segments; callers
-// must not mutate them afterwards.
+// leaf-level sorts. Packed leaves are keyed by dense position, so they
+// are rejected for a directory with holes. Every ref must name a valid
+// (sequence, MBR) pair and the refs must cover every MBR exactly once;
+// violations reject the whole load. The returned ids are 0..len(segs)-1,
+// tombstones included. The database keeps references to the segments
+// (and adopts segs as its directory); callers must not mutate them
+// afterwards.
 func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]uint32, error) {
 	if len(segs) == 0 {
 		return nil, nil
 	}
-	total := 0
+	holes := false
 	for i, g := range segs {
-		if g == nil || g.Seq == nil {
-			return nil, fmt.Errorf("core: nil segment %d", i)
+		if g == nil {
+			holes = true
+			continue
+		}
+		if g.Seq == nil {
+			return nil, fmt.Errorf("core: segment %d has no sequence", i)
 		}
 		if g.Seq.Dim() != db.opts.Dim {
 			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
 				i, g.Seq.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 		}
-		total += len(g.MBRs)
 	}
-
-	var wrote geom.Rect
-	for _, g := range segs {
-		wrote.ExtendRect(g.Bounds())
+	if holes && leaves != nil {
+		return nil, errors.New("core: packed leaves cannot index a directory with tombstones")
 	}
 
 	db.mu.Lock()
@@ -117,11 +105,22 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 	if len(db.seqs) > 0 {
 		return nil, errors.New("core: AddAllSegmented requires an empty database")
 	}
+	return db.bulkLoadLocked(segs, leaves)
+}
 
-	ids := make([]uint32, len(segs))
-	for i, g := range segs {
-		g.Seq.ID = uint32(i)
-		ids[i] = uint32(i)
+// bulkLoadLocked builds the index of an empty database over segs (nil
+// slots are tombstones) and adopts segs as the directory. On an index
+// error the database is left empty. Caller holds db.mu and has checked
+// that leaves is nil whenever segs has holes.
+func (db *Database) bulkLoadLocked(segs []*Segmented, leaves [][]rtree.Ref) ([]uint32, error) {
+	total, live := 0, 0
+	var wrote geom.Rect
+	for _, g := range segs {
+		if g != nil {
+			total += len(g.MBRs)
+			live++
+			wrote.ExtendRect(g.Bounds())
+		}
 	}
 	if leaves != nil {
 		leafItems, err := leavesToItems(segs, leaves, total)
@@ -134,6 +133,9 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 	} else {
 		items := make([]rtree.Item, 0, total)
 		for i, g := range segs {
+			if g == nil {
+				continue
+			}
 			for j, m := range g.MBRs {
 				items = append(items, rtree.Item{Rect: m.Rect, Ref: rtree.PackRef(uint32(i), uint32(j))})
 			}
@@ -142,10 +144,17 @@ func (db *Database) AddAllSegmented(segs []*Segmented, leaves [][]rtree.Ref) ([]
 			return nil, err
 		}
 	}
+	ids := make([]uint32, len(segs))
+	for i, g := range segs {
+		ids[i] = uint32(i)
+		if g != nil {
+			g.Seq.ID = uint32(i)
+		}
+	}
 	db.seqs = segs
-	db.live = len(segs)
+	db.live = live
 	db.notifyWrite(wrote)
-	db.met.RecordBulkAdd(len(segs))
+	db.met.RecordBulkAdd(live)
 	db.met.SetShape(db.live, db.tree.Len())
 	return ids, nil
 }
@@ -187,10 +196,11 @@ func leavesToItems(segs []*Segmented, leaves [][]rtree.Ref, total int) ([][]rtre
 	return out, nil
 }
 
-// partitionAll validates every sequence and partitions them in parallel
-// (partitioning is CPU-bound and independent), without touching any
-// database state that needs the lock.
-func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
+// PartitionAll validates every sequence against dim and partitions them
+// with cfg in parallel (partitioning is CPU-bound and independent), one
+// worker per GOMAXPROCS. It touches no database state, so bulk loaders
+// run it before taking any lock. The result is in input order.
+func PartitionAll(seqs []*Sequence, dim int, cfg PartitionConfig) ([]*Segmented, error) {
 	if len(seqs) == 0 {
 		return nil, nil
 	}
@@ -198,9 +208,9 @@ func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("core: sequence %d: %w", i, err)
 		}
-		if s.Dim() != db.opts.Dim {
+		if s.Dim() != dim {
 			return nil, fmt.Errorf("core: sequence %d dim %d, database dim %d: %w",
-				i, s.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
+				i, s.Dim(), dim, geom.ErrDimensionMismatch)
 		}
 	}
 	segs := make([]*Segmented, len(seqs))
@@ -212,7 +222,7 @@ func (db *Database) partitionAll(seqs []*Sequence) ([]*Segmented, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				segs[i], errs[i] = NewSegmented(seqs[i], db.opts.Partition)
+				segs[i], errs[i] = NewSegmented(seqs[i], cfg)
 			}
 		}()
 	}

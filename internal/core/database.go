@@ -311,9 +311,10 @@ func (db *Database) addSegmentedLocked(g *Segmented) (uint32, error) {
 // AddTombstone reserves and returns the next sequence id as a dead slot:
 // no sequence, no index entries, lookups yield nil — exactly the state
 // Remove leaves behind. The transaction layer (internal/txn) uses it when
-// rebuilding a database from a checkpoint to reproduce the id layout of
-// sequences that were added and later removed, so ids stay stable across
-// restarts.
+// folding into a non-empty base, for a sequence that was added and
+// removed within one delta, so the ids after it keep their position. An
+// empty database takes tombstones in bulk as nil slots of
+// AddAllSegmented.
 func (db *Database) AddTombstone() (uint32, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -370,6 +371,35 @@ func (db *Database) NumMBRs() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.tree.Len()
+}
+
+// CheckIndex audits the database: the R*-tree's structural invariants
+// (rtree.CheckInvariants) hold, the live count matches the directory's
+// non-nil slots, and the index holds exactly their MBRs. It is meant for
+// tests and debugging tools; a healthy database always returns nil.
+func (db *Database) CheckIndex() error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.pg == nil {
+		return errors.New("core: database closed")
+	}
+	if err := db.tree.CheckInvariants(); err != nil {
+		return err
+	}
+	live, total := 0, 0
+	for _, g := range db.seqs {
+		if g != nil {
+			live++
+			total += len(g.MBRs)
+		}
+	}
+	if live != db.live {
+		return fmt.Errorf("core: live count %d but %d non-nil directory slots", db.live, live)
+	}
+	if total != db.tree.Len() {
+		return fmt.Errorf("core: index holds %d entries but live sequences have %d MBRs", db.tree.Len(), total)
+	}
+	return nil
 }
 
 // Segmented returns the stored (sequence, partitioning) pair for id, or

@@ -120,7 +120,11 @@ func (t *Tree) insertRec(page pager.PageID, level, targetLevel uint32, e entry,
 	if level == targetLevel {
 		n.entries = append(n.entries, e)
 	} else {
-		i := t.chooseSubtree(n, e.rect, level-1 == 1)
+		choose := t.chooseSubtree
+		if t.chooseHook != nil {
+			choose = t.chooseHook
+		}
+		i := choose(n, e.rect, level-1 == 1)
 		childMBR, childSplit, err := t.insertRec(n.entries[i].child, level-1, targetLevel, e, reinsertDone, pending)
 		if err != nil {
 			return geom.Rect{}, nil, err
@@ -165,39 +169,128 @@ func (t *Tree) insertRec(page pager.PageID, level, targetLevel uint32, e entry,
 // chooseSubtree implements the R*-tree CS2 step: when the children are
 // leaves, pick the entry needing least overlap enlargement (ties: least
 // area enlargement, then least area); otherwise least area enlargement.
+//
+// The overlap criterion costs O(M²) intersection volumes per call — the
+// bulk of an insert — so two exact skips prune it, keeping the choice
+// bit-identical to evaluating every pair with geom.Rect's methods:
+//
+//   - When the enlarged rect misses entry j (volume 0 from a disjoint
+//     axis), entry i, which lies inside it, misses j on that axis too,
+//     so the term is 0 − 0.
+//   - When r already lies inside entry i, the enlarged rect is entry i
+//     itself and every term is a − a, which is 0 only for finite a. This
+//     skip therefore applies only to nodes whose coordinates are all
+//     finite and whose bounding volume does not overflow.
 func (t *Tree) chooseSubtree(n *node, r geom.Rect, childrenAreLeaves bool) int {
+	d := t.dim
+	if cap(t.chooseBuf) < 2*d {
+		t.chooseBuf = make([]float64, 2*d)
+	}
+	enlarged := geom.Rect{L: t.chooseBuf[:d], H: t.chooseBuf[d : 2*d]}
 	best := 0
-	if childrenAreLeaves {
-		bestOverlap, bestEnlarge, bestArea := +1e308, +1e308, +1e308
+	if !childrenAreLeaves {
+		bestEnlarge, bestArea := +1e308, +1e308
 		for i := range n.entries {
-			enlarged := n.entries[i].rect.Union(r)
-			var overlapDelta float64
-			for j := range n.entries {
-				if j == i {
-					continue
-				}
-				overlapDelta += enlarged.IntersectionVolume(n.entries[j].rect) -
-					n.entries[i].rect.IntersectionVolume(n.entries[j].rect)
-			}
-			enlarge := enlarged.Volume() - n.entries[i].rect.Volume()
-			area := n.entries[i].rect.Volume()
-			if overlapDelta < bestOverlap ||
-				(overlapDelta == bestOverlap && enlarge < bestEnlarge) ||
-				(overlapDelta == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
-				best, bestOverlap, bestEnlarge, bestArea = i, overlapDelta, enlarge, area
+			ri := n.entries[i].rect
+			unionInto(enlarged, ri, r)
+			area := ri.Volume()
+			enlarge := enlarged.Volume() - area
+			if enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
+				best, bestEnlarge, bestArea = i, enlarge, area
 			}
 		}
 		return best
 	}
-	bestEnlarge, bestArea := +1e308, +1e308
+	exact := finiteNode(n, r)
+	bestOverlap, bestEnlarge, bestArea := +1e308, +1e308, +1e308
 	for i := range n.entries {
-		enlarge := n.entries[i].rect.Enlargement(r)
-		area := n.entries[i].rect.Volume()
-		if enlarge < bestEnlarge || (enlarge == bestEnlarge && area < bestArea) {
-			best, bestEnlarge, bestArea = i, enlarge, area
+		ri := n.entries[i].rect
+		unionInto(enlarged, ri, r)
+		var overlapDelta float64
+		if !exact || !ri.ContainsRect(r) {
+			for j := range n.entries {
+				if j == i {
+					continue
+				}
+				rj := n.entries[j].rect
+				a := intersectionVolume(enlarged.L, enlarged.H, rj.L, rj.H)
+				if a == 0 {
+					continue
+				}
+				overlapDelta += a - intersectionVolume(ri.L, ri.H, rj.L, rj.H)
+			}
+		}
+		area := ri.Volume()
+		enlarge := enlarged.Volume() - area
+		if overlapDelta < bestOverlap ||
+			(overlapDelta == bestOverlap && enlarge < bestEnlarge) ||
+			(overlapDelta == bestOverlap && enlarge == bestEnlarge && area < bestArea) {
+			best, bestOverlap, bestEnlarge, bestArea = i, overlapDelta, enlarge, area
 		}
 	}
 	return best
+}
+
+// finiteNode reports whether every coordinate of n's entries and r is
+// finite and the volume of their joint bounding box is finite, so no
+// intersection volume among them can be NaN or infinite.
+func finiteNode(n *node, r geom.Rect) bool {
+	vol := 1.0
+	for k := range r.L {
+		lo, hi := r.L[k], r.H[k]
+		if lo-lo != 0 || hi-hi != 0 { // x−x is NaN exactly when x is ±Inf or NaN
+			return false
+		}
+		for i := range n.entries {
+			l, h := n.entries[i].rect.L[k], n.entries[i].rect.H[k]
+			if l-l != 0 || h-h != 0 {
+				return false
+			}
+			lo, hi = min(lo, l), max(hi, h)
+		}
+		if side := hi - lo; side > 0 {
+			vol *= side
+		}
+	}
+	return vol-vol == 0
+}
+
+// unionInto writes the bounding box of a and b into dst, with exactly
+// geom.Rect.Union's comparisons.
+func unionInto(dst, a, b geom.Rect) {
+	for k := range dst.L {
+		dst.L[k], dst.H[k] = a.L[k], a.H[k]
+		if b.L[k] < dst.L[k] {
+			dst.L[k] = b.L[k]
+		}
+		if b.H[k] > dst.H[k] {
+			dst.H[k] = b.H[k]
+		}
+	}
+}
+
+// intersectionVolume is geom.Rect.IntersectionVolume over the raw
+// bounds of two non-empty rects of equal dimension, with math.Max/Min
+// inlined. A NaN bound propagates as it does through math.Max/Min; the
+// sign of a zero bound cannot change the result, since equal bounds
+// return 0 before any product.
+func intersectionVolume(aL, aH, bL, bH []float64) float64 {
+	v := 1.0
+	for k := range aL {
+		lo := aL[k]
+		if bL[k] > lo || bL[k] != bL[k] {
+			lo = bL[k]
+		}
+		hi := aH[k]
+		if bH[k] < hi || bH[k] != bH[k] {
+			hi = bH[k]
+		}
+		if hi <= lo {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 // pickReinsertVictims removes the reinsertFraction of entries whose centers

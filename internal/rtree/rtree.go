@@ -96,6 +96,13 @@ type Tree struct {
 	// decoded copy of every visited node (O(tree bytes) extra memory,
 	// traded for allocation-free, pager-free steady-state searches).
 	flat sync.Map
+
+	// chooseBuf is chooseSubtree's enlarged-rect scratch (mutations are
+	// serialized, so one buffer per tree suffices). chooseHook, when set,
+	// replaces chooseSubtree; the equivalence tests install the reference
+	// implementation through it.
+	chooseBuf  []float64
+	chooseHook func(n *node, r geom.Rect, childrenAreLeaves bool) int
 }
 
 // New creates a fresh tree on an empty pager (the pager must have no

@@ -143,15 +143,38 @@ func (db *DB) checkpointLocked() error {
 	return res.err
 }
 
-// fold applies the cut state's delta to the base database, op by op
-// (each op takes the base write lock briefly, interleaving with
-// readers). Adds are applied in commit order so the base assigns
+// fold applies the cut state's delta to the base database. Adds keep
 // exactly the ids the transaction layer already promised; an add that
 // was later removed folds as a tombstone so ids after it keep their
-// position. The fold is idempotent: a retry after a mid-fold error
-// skips the already-applied prefix.
+// position.
+//
+// The first fold into an empty base is one bulk load: every add, with
+// its latest overlay applied and removed adds as nil slots, goes through
+// core.AddAllSegmented, which STR-packs the whole index under a single
+// base write-lock hold. Readers move from the delta scan to the index in
+// one step, and a failed load leaves the base empty for a retry.
+//
+// A fold into a non-empty base goes op by op (each op takes the base
+// write lock briefly, interleaving with readers). It is idempotent: a
+// retry after a mid-fold error skips the already-applied prefix.
 func (db *DB) fold(cut *state) error {
 	v := buildView(cut)
+	if cut.baseNext == 0 && db.base.DirLen() == 0 {
+		// With an empty base every overlay and removal names an add.
+		slots := make([]*core.Segmented, len(cut.adds))
+		for i, g := range cut.adds {
+			id := uint32(i)
+			if _, dead := v.removed[id]; dead {
+				continue
+			}
+			if ng, ok := v.overlay[id]; ok {
+				g = ng
+			}
+			slots[i] = detach(g)
+		}
+		_, err := db.base.AddAllSegmented(slots, nil)
+		return err
+	}
 	already := db.base.DirLen() - int(cut.baseNext)
 	if already < 0 {
 		return fmt.Errorf("txn: base shrank below fold point (%d < %d)", db.base.DirLen(), cut.baseNext)
@@ -364,59 +387,44 @@ func loadBase(opts *Options) (*core.Database, uint64, error) {
 			return nil, 0, fmt.Errorf("%w: %d sequences for %d ids", ErrBadDir, len(seqs), len(ids))
 		}
 	}
+	segs, err := core.PartitionAll(seqs, dim, cfg)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
+	}
 	base, err := core.NewDatabase(core.Options{Dim: dim, Partition: cfg, QuantizedMBR: opts.QuantizedMBR})
 	if err != nil {
 		return nil, 0, err
 	}
-	if uint32(len(ids)) == nextID {
-		// No holes: ids are 0..n-1 in order, the bulk path applies.
-		if len(seqs) > 0 {
-			if _, err := base.AddAll(seqs); err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-		}
-		return base, lsn, nil
-	}
-	k := 0
-	for id := uint32(0); id < nextID; id++ {
-		if k < len(ids) && ids[k] == id {
-			g, err := core.NewSegmented(seqs[k], cfg)
-			if err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-			got, err := base.AddSegmented(g)
-			if err != nil {
-				base.Close()
-				return nil, 0, err
-			}
-			if got != id {
-				base.Close()
-				return nil, 0, fmt.Errorf("%w: snapshot ids not ascending", ErrBadDir)
-			}
-			k++
-			continue
-		}
-		if _, err := base.AddTombstone(); err != nil {
-			base.Close()
-			return nil, 0, err
-		}
-	}
-	if k != len(ids) {
+	if _, err := base.AddAllSegmented(placeSlots(segs, ids, nextID), nil); err != nil {
 		base.Close()
-		return nil, 0, fmt.Errorf("%w: snapshot ids exceed next id", ErrBadDir)
+		return nil, 0, err
 	}
 	return base, lsn, nil
 }
 
+// placeSlots lays a snapshot's live segments out as the base directory:
+// segs[k] goes to slot ids[k], and every other slot below nextID is a
+// tombstone (nil). decodeSnapMeta has already checked that ids ascend
+// below nextID and the caller that segs matches ids one for one. With no
+// holes the segments already are the directory.
+func placeSlots(segs []*core.Segmented, ids []uint32, nextID uint32) []*core.Segmented {
+	if uint32(len(ids)) == nextID {
+		return segs
+	}
+	slots := make([]*core.Segmented, nextID)
+	for k, id := range ids {
+		slots[id] = segs[k]
+	}
+	return slots
+}
+
 // loadBaseV2 rebuilds the base from a v2 (columnar segment) snapshot:
 // the file's already-partitioned segments are aliased straight into the
-// database — no re-partitioning — and, when the id layout has no holes,
-// the R*-tree is packed bottom-up from the stored leaf grouping. With
-// holes (removed ids), segments and tombstones are interleaved per slot
-// to reproduce the exact directory layout; the packed leaves are keyed
-// by dense position, so they do not apply there.
+// database — no re-partitioning — and bulk-loaded with removed ids as
+// tombstones. When the id layout has no holes and the fanout matches,
+// the R*-tree is packed bottom-up from the stored leaf grouping; the
+// packed leaves are keyed by dense position, so with holes the index is
+// STR-packed afresh instead.
 func loadBaseV2(path string, dim int, cfg core.PartitionConfig, quant bool, nextID uint32, ids []uint32, lsn uint64) (*core.Database, uint64, error) {
 	c, err := store.ReadSegments(path)
 	if err != nil {
@@ -429,40 +437,13 @@ func loadBaseV2(path string, dim int, cfg core.PartitionConfig, quant bool, next
 	if err != nil {
 		return nil, 0, err
 	}
-	if uint32(len(ids)) == nextID {
-		leaves := c.Leaves
-		if c.TreeM != base.IndexFanout() {
-			leaves = nil
-		}
-		if _, err := base.AddAllSegmented(c.Segs, leaves); err != nil {
-			base.Close()
-			return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
-		}
-		return base, lsn, nil
+	leaves := c.Leaves
+	if uint32(len(ids)) != nextID || c.TreeM != base.IndexFanout() {
+		leaves = nil
 	}
-	k := 0
-	for id := uint32(0); id < nextID; id++ {
-		if k < len(ids) && ids[k] == id {
-			got, err := base.AddSegmented(c.Segs[k])
-			if err != nil {
-				base.Close()
-				return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
-			}
-			if got != id {
-				base.Close()
-				return nil, 0, fmt.Errorf("%w: snapshot ids not ascending", ErrBadDir)
-			}
-			k++
-			continue
-		}
-		if _, err := base.AddTombstone(); err != nil {
-			base.Close()
-			return nil, 0, err
-		}
-	}
-	if k != len(ids) {
+	if _, err := base.AddAllSegmented(placeSlots(c.Segs, ids, nextID), leaves); err != nil {
 		base.Close()
-		return nil, 0, fmt.Errorf("%w: snapshot ids exceed next id", ErrBadDir)
+		return nil, 0, fmt.Errorf("%w: %v", ErrBadDir, err)
 	}
 	return base, lsn, nil
 }

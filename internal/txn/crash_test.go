@@ -154,7 +154,9 @@ func TestReopenRestoresAckedCommits(t *testing.T) {
 // TestCrashAfterAck simulates kill -9 at every commit boundary: after
 // each acknowledged commit the durability directory is copied (fsynced
 // bytes only — the writing process never closes) and reopened elsewhere.
-// Every copy must restore exactly the commits acknowledged so far.
+// Every copy must restore exactly the commits acknowledged so far,
+// including a copy taken mid-checkpoint, after the fold but before the
+// new snapshot was promoted.
 func TestCrashAfterAck(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	dir := t.TempDir()
@@ -168,14 +170,26 @@ func TestCrashAfterAck(t *testing.T) {
 	var live []uint32
 	for i := 1; i <= 24; i++ {
 		driveOps(t, rng, db, ref, &live, 2)
+		want := fingerprint(t, ref, queries, 3)
 		if i == 12 {
-			// Mid-stream checkpoint: later crashes recover from
-			// snapshot + tail instead of a full log replay.
+			// Mid-stream checkpoint — the first fold, so a bulk load:
+			// later crashes recover from snapshot + tail instead of a
+			// full log replay. One crash lands between the fold and
+			// the CURRENT promotion and must replay the whole log.
+			pre := copyDir(t, dir)
 			if err := db.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
+			crashed, err := Open(Options{Dir: unpromotedImage(t, pre, dir, "snapshot-written"), Dim: 2})
+			if err != nil {
+				t.Fatalf("commit %d: reopen after crash before promotion: %v", i, err)
+			}
+			got := fingerprint(t, crashed, queries, 3)
+			crashed.Close()
+			if got != want {
+				t.Fatalf("commit %d: crash before promotion lost or invented state\n got %s\nwant %s", i, got, want)
+			}
 		}
-		want := fingerprint(t, ref, queries, 3)
 		crashed, err := Open(Options{Dir: copyDir(t, dir), Dim: 2})
 		if err != nil {
 			t.Fatalf("commit %d: reopen after simulated crash: %v", i, err)

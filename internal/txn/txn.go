@@ -301,12 +301,19 @@ func (db *DB) AddAllCtx(ctx context.Context, seqs []*core.Sequence) ([]uint32, e
 	if len(seqs) == 0 {
 		return nil, nil
 	}
-	ops := make([]op, len(seqs))
 	for i, s := range seqs {
-		g, err := db.partitionFor(s)
-		if err != nil {
+		if err := checkLabel(s); err != nil {
 			return nil, fmt.Errorf("txn: sequence %d: %w", i, err)
 		}
+	}
+	// Validate and partition on core's worker pool, outside the
+	// committer: a large batch partitions on every CPU.
+	segs, err := core.PartitionAll(seqs, db.base.Dim(), db.base.PartitionConfig())
+	if err != nil {
+		return nil, err
+	}
+	ops := make([]op, len(segs))
+	for i, g := range segs {
 		ops[i] = op{kind: opAdd, g: g}
 	}
 	res, err := db.commitCtx(ctx, ops)
@@ -363,14 +370,22 @@ func (db *DB) partitionFor(s *core.Sequence) (*core.Segmented, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if len(s.Label) > maxLabelLen {
-		return nil, fmt.Errorf("txn: label of %d bytes exceeds the %d-byte limit", len(s.Label), maxLabelLen)
+	if err := checkLabel(s); err != nil {
+		return nil, err
 	}
 	if s.Dim() != db.base.Dim() {
 		return nil, fmt.Errorf("txn: sequence dim %d, database dim %d: %w",
 			s.Dim(), db.base.Dim(), geom.ErrDimensionMismatch)
 	}
 	return core.NewSegmented(s, db.base.PartitionConfig())
+}
+
+// checkLabel enforces the WAL record's label length limit.
+func checkLabel(s *core.Sequence) error {
+	if len(s.Label) > maxLabelLen {
+		return fmt.Errorf("txn: label of %d bytes exceeds the %d-byte limit", len(s.Label), maxLabelLen)
+	}
+	return nil
 }
 
 // commit submits one atomic batch of ops and waits for the committer's
