@@ -14,7 +14,6 @@
 //	  -shard-timeout 2s -retries 1 -hedge-after 50ms -allow-partial
 //	mdsserve -addr :8080 -metric dtw -dtw-window 16   # default to DTW search
 //	mdsserve -addr :8080 -cache-entries 4096 -cache-bytes 67108864
-//	mdsserve -addr :8080 -cache-entries 4096 -cache-policy lru -cache-invalidate epoch
 //	mdsserve -addr :8080 -durable ./txndir    # WAL-backed commits + crash recovery
 //	mdsserve -addr :8080 -durable ./txndir -group-commit-window 2ms -checkpoint-every 10000
 //
@@ -51,19 +50,16 @@
 //
 // Caching: -cache-entries (with an optional -cache-bytes budget)
 // attaches a cost-aware query-result cache. Repeated range, parallel,
-// kNN, and batch queries are answered from memory. -cache-policy picks
-// the eviction policy: "gdsf" (default) keeps entries by recomputation
-// cost × hit frequency / size with an aging watermark, "lru" by recency
-// alone. -cache-invalidate picks how writes invalidate: "mbr" (default)
-// removes only entries whose recorded query region (MBR + radius) the
-// written sequence's MBR can reach — queries over untouched regions keep
-// hitting through unrelated writes — while "epoch" flushes everything on
-// any write. Both modes guarantee no stale answer is ever served, and
-// partial scatter results are never cached (see DESIGN.md §14 for the
-// safety argument). Hits are visible per response in the X-Mdseq-Cache
-// header and "cached" field, and in aggregate via the mdseq_cache_*
-// metric families (see OPERATIONS.md for the tuning runbook). Default
-// is off.
+// kNN, and batch queries are answered from memory. Eviction is GDSF:
+// entries are kept by recomputation cost × hit frequency / size with an
+// aging watermark. A write removes only entries whose recorded query
+// region (MBR + radius) the written sequence's MBR can reach — queries
+// over untouched regions keep hitting through unrelated writes. No stale
+// answer is ever served, and partial scatter results are never cached
+// (see DESIGN.md §14 for the safety argument). Hits are visible per
+// response in the X-Mdseq-Cache header and "cached" field, and in
+// aggregate via the mdseq_cache_* metric families (see OPERATIONS.md for
+// the tuning runbook). Default is off.
 //
 // Observability: the server always exposes GET /metrics (Prometheus text
 // format — search latency histograms, per-phase timings, pruning-ratio
@@ -135,8 +131,6 @@ func main() {
 
 		cacheEntries = flag.Int("cache-entries", 0, "query-result cache entry cap (0 disables the cache)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "query-result cache byte cap (0 with -cache-entries set uses the 64 MiB default)")
-		cachePolicy  = flag.String("cache-policy", "", "cache eviction policy: gdsf (cost-aware, default) or lru")
-		cacheScope   = flag.String("cache-invalidate", "", "cache write-invalidation scope: mbr (region-scoped, default) or epoch (flush all)")
 
 		metricName = flag.String("metric", "", "default search metric for requests that omit \"metric\": d (exact alignment distance) or dtw (indexed dynamic time warping); empty keeps d")
 		dtwWindow  = flag.Int("dtw-window", -1, "default Sakoe–Chiba band half-width for requests that omit \"dtwWindow\" (-1 = unconstrained)")
@@ -193,20 +187,10 @@ func main() {
 			AllowPartial: *allowPartial,
 		})
 	}
-	policy, err := cache.ParsePolicy(*cachePolicy)
-	if err != nil {
-		log.Fatalf("-cache-policy: %v", err)
-	}
-	scope, err := cache.ParseScope(*cacheScope)
-	if err != nil {
-		log.Fatalf("-cache-invalidate: %v", err)
-	}
 	if *cacheEntries > 0 || *cacheBytes > 0 {
 		db.SetCache(cache.New(cache.Config{
 			MaxEntries: *cacheEntries,
 			MaxBytes:   *cacheBytes,
-			Policy:     policy,
-			Scope:      scope,
 		}))
 	}
 

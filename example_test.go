@@ -47,8 +47,6 @@ func ExampleQueryCacheConfig() {
 	defer db.Close()
 	db.SetCache(mdseq.NewQueryCache(mdseq.QueryCacheConfig{
 		MaxEntries: 1024,
-		Policy:     mdseq.CachePolicyGDSF, // cost-aware eviction (the default)
-		Scope:      mdseq.CacheScopeMBR,   // region-scoped invalidation (the default)
 	}))
 
 	trail, _ := mdseq.NewSequence("trail", []mdseq.Point{

@@ -40,9 +40,9 @@ func NewMetrics(reg *obs.Registry, name string) *Metrics {
 		misses: reg.Counter("mdseq_cache_misses_total",
 			"Query-cache lookups that found nothing servable (absent or stale).", l),
 		evictions: reg.Counter("mdseq_cache_evictions_total",
-			"Entries dropped by the eviction policy (LRU or GDSF) to hold the entry or byte cap.", l),
+			"Entries dropped by GDSF eviction to hold the entry or byte cap.", l),
 		invalidations: reg.Counter("mdseq_cache_invalidations_total",
-			"Entries dropped because a corpus write could have affected them (eagerly under scope=mbr, lazily on lookup under scope=epoch).", l),
+			"Entries dropped because a corpus write could have affected them (the write's MBR reached their region).", l),
 		writes: reg.Counter("mdseq_cache_write_notifications_total",
 			"Write notifications (region invalidations) delivered to the query cache.", l),
 		sweepSkips: reg.Counter("mdseq_cache_sweep_skips_total",
@@ -88,7 +88,7 @@ func (m *Metrics) miss() {
 	m.setRatio()
 }
 
-// evict counts n policy evictions.
+// evict counts n GDSF evictions.
 func (m *Metrics) evict(n int) {
 	if m == nil || n == 0 {
 		return

@@ -44,8 +44,8 @@ type batchQuery struct {
 // a batch is all-or-nothing, so callers never have to pair partial
 // outputs with their inputs.
 func (db *Database) SearchBatchCtx(ctx context.Context, qs []*Sequence, eps float64) ([][]Match, []SearchStats, error) {
-	if eps < 0 {
-		return nil, nil, fmt.Errorf("core: negative threshold %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, nil, err
 	}
 	if len(qs) == 0 {
 		return nil, nil, nil

@@ -56,7 +56,7 @@ func (f *fp) key() cache.Key { return cache.Key{Hi: f.h1, Lo: f.h2} }
 // DTW results under different windows can't alias either), threshold (or
 // k, via extra), the partitioning parameters that shape phase 1, and
 // every query coordinate. Everything that can change the result is in
-// the key; the corpus version is handled separately by the epoch.
+// the key; corpus changes are handled by write invalidation.
 func queryFingerprint(kind byte, m Metric, q *Sequence, eps float64, cfg PartitionConfig, extra uint64) cache.Key {
 	f := newFP()
 	f.byte(kind)

@@ -28,14 +28,8 @@ type Options struct {
 	PageSize, PoolPages int
 	// Path backs the index with a file; empty runs in memory.
 	Path string
-	// WAL enables write-ahead logging on the index file (requires Path):
-	// every Add/Remove becomes crash-atomic and reopening after a crash
-	// replays any committed-but-unapplied index updates.
-	WAL bool
 	// MaxEntries overrides the R*-tree fanout (0 → derive from page size).
 	MaxEntries int
-	// Eviction selects the buffer-pool replacement policy.
-	Eviction pager.Eviction
 	// QuantizedMBR turns on the quantized-MBR prefilter in phase 3 of
 	// range searches: each (query MBR, candidate) pair is first screened
 	// against the candidate's float32 outward-rounded bounds (half the
@@ -87,8 +81,6 @@ func NewDatabase(opts Options) (*Database, error) {
 		PageSize:  opts.PageSize,
 		PoolPages: opts.PoolPages,
 		Path:      opts.Path,
-		WAL:       opts.WAL,
-		Eviction:  opts.Eviction,
 	})
 	if err != nil {
 		return nil, err
@@ -193,8 +185,6 @@ func openIndexed(opts Options) (*Database, error) {
 		PageSize:  opts.PageSize,
 		PoolPages: opts.PoolPages,
 		Path:      opts.Path,
-		WAL:       opts.WAL,
-		Eviction:  opts.Eviction,
 	})
 	if err != nil {
 		return nil, err
@@ -573,8 +563,8 @@ func (db *Database) SearchCtx(ctx context.Context, q *Sequence, eps float64) ([]
 		return nil, st, fmt.Errorf("core: query dim %d, database dim %d: %w",
 			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	if eps < 0 {
-		return nil, st, fmt.Errorf("core: negative threshold %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, st, err
 	}
 	// Cache lookup. The write-sequence counter is snapshotted here,
 	// before the read lock: any write that lands after this point moves

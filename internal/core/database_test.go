@@ -365,9 +365,9 @@ func TestPartitionConfigAccessor(t *testing.T) {
 	}
 }
 
-func TestWALBackedDatabase(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "walidx.db")
-	db, err := NewDatabase(Options{Dim: 3, Path: path, WAL: true})
+func TestFileBackedDatabaseRemove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.db")
+	db, err := NewDatabase(Options{Dim: 3, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,9 +389,6 @@ func TestWALBackedDatabase(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("WAL-backed database lost a sequence")
-	}
-	if _, err := NewDatabase(Options{Dim: 3, WAL: true}); err == nil {
-		t.Error("WAL without Path accepted")
+		t.Error("file-backed database lost a sequence")
 	}
 }

@@ -44,8 +44,8 @@ func (db *Database) SearchMetricCtx(ctx context.Context, q *Sequence, eps float6
 		return nil, st, fmt.Errorf("core: query dim %d, database dim %d: %w",
 			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	if eps < 0 {
-		return nil, st, fmt.Errorf("core: negative threshold %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, st, err
 	}
 	ref := db.metricRangeRef(q, eps, m)
 	tr := obs.FromContext(ctx)
@@ -369,8 +369,8 @@ func (db *Database) SequentialSearchMetric(q *Sequence, eps float64, m Metric) (
 		return nil, fmt.Errorf("core: query dim %d, database dim %d: %w",
 			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	if eps < 0 {
-		return nil, fmt.Errorf("core: negative threshold %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, err
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -40,8 +40,8 @@ func (db *Database) SearchParallelCtx(ctx context.Context, q *Sequence, eps floa
 		return nil, st, fmt.Errorf("core: query dim %d, database dim %d: %w",
 			q.Dim(), db.opts.Dim, geom.ErrDimensionMismatch)
 	}
-	if eps < 0 {
-		return nil, st, fmt.Errorf("core: negative threshold %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, st, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -79,6 +79,9 @@ func (db *Database) SequentialSearch(q *Sequence, eps float64) ([]ScanResult, er
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkEps(eps); err != nil {
+		return nil, err
+	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var out []ScanResult

@@ -9,6 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -38,8 +39,9 @@ func NewSequence(label string, points []geom.Point) (*Sequence, error) {
 	return s, nil
 }
 
-// Validate checks that the sequence is non-empty and dimensionally
-// consistent.
+// Validate checks that the sequence is non-empty, dimensionally
+// consistent, and finite: a NaN or infinite coordinate would poison the
+// MBR bounds, so the index could no longer promise no false dismissals.
 func (s *Sequence) Validate() error {
 	if len(s.Points) == 0 {
 		return ErrEmptySequence
@@ -52,6 +54,20 @@ func (s *Sequence) Validate() error {
 		if len(p) != dim {
 			return fmt.Errorf("core: point %d has dim %d, want %d: %w", i, len(p), dim, geom.ErrDimensionMismatch)
 		}
+		for j, x := range p {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("core: point %d coordinate %d is %g, want a finite value", i, j, x)
+			}
+		}
+	}
+	return nil
+}
+
+// checkEps rejects a negative or NaN range threshold. +Inf is legal and
+// matches every sequence.
+func checkEps(eps float64) error {
+	if !(eps >= 0) {
+		return fmt.Errorf("core: threshold %g, want >= 0", eps)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -19,6 +20,62 @@ func TestNewSequenceValidates(t *testing.T) {
 	}
 	if _, err := NewSequence("ragged", []geom.Point{{0.1}, {0.1, 0.2}}); err == nil {
 		t.Error("ragged sequence accepted")
+	}
+}
+
+// TestRejectsNonFinite pins fail-closed input checks: a NaN or infinite
+// coordinate is refused by every write entry point, and a NaN threshold
+// by every range search, instead of matching at MinDnorm=0 or returning
+// an empty answer. +Inf stays a legal threshold for the exhaustive scans.
+func TestRejectsNonFinite(t *testing.T) {
+	db := newTestDB(t, 3)
+	rng := rand.New(rand.NewSource(5))
+	populateWalks(t, db, 5, rng)
+	bad := []geom.Point{{0.1, 0.2, 0.3}, {0.1, math.NaN(), 0.3}}
+	writes := map[string]func() error{
+		"NewSequence(NaN)": func() error { _, err := NewSequence("nan", bad); return err },
+		"NewSequence(+Inf)": func() error {
+			_, err := NewSequence("inf", []geom.Point{{math.Inf(1), 0, 0}})
+			return err
+		},
+		"Add":          func() error { _, err := db.Add(&Sequence{Points: bad}); return err },
+		"AddAll":       func() error { _, err := db.AddAll([]*Sequence{{Points: bad}}); return err },
+		"AppendPoints": func() error { return db.AppendPoints(0, bad[1:]) },
+		"Search(query)": func() error {
+			_, _, err := db.Search(&Sequence{Points: bad}, 0.1)
+			return err
+		},
+	}
+	for name, f := range writes {
+		if f() == nil {
+			t.Errorf("%s accepted a NaN coordinate", name)
+		}
+	}
+	if db.Len() != 5 {
+		t.Errorf("Len = %d after rejected writes; want 5", db.Len())
+	}
+
+	q := randWalkSeq(rng, 20, 3)
+	nan := math.NaN()
+	searches := map[string]func() error{
+		"Search":           func() error { _, _, err := db.Search(q, nan); return err },
+		"SearchParallel":   func() error { _, _, err := db.SearchParallel(q, nan, 2); return err },
+		"SearchBatch":      func() error { _, _, err := db.SearchBatch([]*Sequence{q}, nan); return err },
+		"SearchMetric":     func() error { _, _, err := db.SearchMetric(q, nan, MetricD{}); return err },
+		"SequentialSearch": func() error { _, err := db.SequentialSearch(q, nan); return err },
+		"SequentialSearchMetric": func() error {
+			_, err := db.SequentialSearchMetric(q, nan, MetricD{})
+			return err
+		},
+	}
+	for name, f := range searches {
+		if f() == nil {
+			t.Errorf("%s accepted eps=NaN", name)
+		}
+	}
+	all, err := db.SequentialSearchMetric(q, math.Inf(1), MetricD{})
+	if err != nil || len(all) != 5 {
+		t.Errorf("SequentialSearchMetric(+Inf) = %d matches, %v; want 5, nil", len(all), err)
 	}
 }
 

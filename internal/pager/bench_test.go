@@ -1,9 +1,7 @@
 package pager
 
 import (
-	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -58,52 +56,19 @@ func BenchmarkWriteThroughPool(b *testing.B) {
 	}
 }
 
-func BenchmarkEvictionPolicies(b *testing.B) {
-	for _, ev := range []Eviction{LRU, Clock} {
-		b.Run(ev.String(), func(b *testing.B) {
-			p := benchPager(b, Options{PageSize: 4096, PoolPages: 32, Eviction: ev})
-			const pages = 256
-			for i := 0; i < pages; i++ {
-				p.Alloc()
-			}
-			rng := rand.New(rand.NewSource(1))
-			z := rand.NewZipf(rng, 1.3, 1, pages-1)
-			buf := make([]byte, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Read(PageID(z.Uint64()), buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+func BenchmarkReadZipf(b *testing.B) {
+	p := benchPager(b, Options{PageSize: 4096, PoolPages: 32})
+	const pages = 256
+	for i := 0; i < pages; i++ {
+		p.Alloc()
 	}
-}
-
-func BenchmarkTxnCommit(b *testing.B) {
-	for _, pagesPerTxn := range []int{1, 8} {
-		b.Run(fmt.Sprintf("pages=%d", pagesPerTxn), func(b *testing.B) {
-			dir := b.TempDir()
-			p := benchPager(b, Options{PageSize: 4096, PoolPages: 64, Path: filepath.Join(dir, "db"), WAL: true})
-			ids := make([]PageID, pagesPerTxn)
-			for i := range ids {
-				ids[i], _ = p.Alloc()
-			}
-			buf := make([]byte, 4096)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Begin(); err != nil {
-					b.Fatal(err)
-				}
-				for _, id := range ids {
-					buf[0] = byte(i)
-					if err := p.Write(id, buf); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := p.Commit(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(1))
+	z := rand.NewZipf(rng, 1.3, 1, pages-1)
+	buf := make([]byte, 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Read(PageID(z.Uint64()), buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

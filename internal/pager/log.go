@@ -11,9 +11,9 @@ import (
 )
 
 // Log is a record-oriented append-only write-ahead log — the durability
-// substrate beneath internal/txn's group commit, sharing the page WAL's
-// on-disk discipline (magic header, CRC-guarded records, torn-tail
-// discard) but logging caller-defined records instead of page images.
+// substrate beneath internal/txn's group commit. It logs caller-defined
+// records, not page images: the pager itself keeps no log, and durable
+// deployments recover through internal/txn's replay of this one.
 //
 // File format (little-endian):
 //

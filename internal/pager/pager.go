@@ -64,12 +64,6 @@ type Options struct {
 	PoolPages int
 	// Path is the backing file. Empty means an in-memory store.
 	Path string
-	// WAL enables write-ahead logging (requires Path): Begin/Commit bound
-	// atomic multi-page transactions, and Open replays any committed but
-	// unapplied transactions left by a crash. The log lives at Path+".wal".
-	WAL bool
-	// Eviction selects the buffer-pool replacement policy (default LRU).
-	Eviction Eviction
 }
 
 var (
@@ -97,8 +91,7 @@ type frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	ref   bool // clock policy reference bit
-	// Links within the eviction policy's structure (list or ring).
+	// Links in the LRU list of unpinned frames.
 	prev, next *frame
 }
 
@@ -110,23 +103,26 @@ type Pager struct {
 	pool     int
 	be       backend
 	frames   map[PageID]*frame
-	pol      policy
 	nPages   PageID
 	freeList []PageID
 	stats    Stats
 	closed   bool
 
-	// Write-ahead logging state (nil log when WAL is disabled).
-	log      *wal
-	inTxn    bool
-	txnPages map[PageID]bool // pages dirtied by the open transaction
-	// crashAfterWALSync makes Commit stop right after the log fsync —
-	// fault injection for recovery tests.
-	crashAfterWALSync bool
+	// lruHead and lruTail bound the doubly-linked list of unpinned
+	// frames, most recently unpinned first; the tail is the next victim.
+	lruHead, lruTail *frame
 }
+
+// pageWALHeader is the 8-byte header of the page-image write-ahead log
+// that earlier versions kept at Path+".wal". A log longer than its header
+// holds a committed transaction that was never applied to the main file.
+const pageWALHeader = "MDSWAL01"
 
 // Open creates or opens a pager. If opts.Path exists, its page count is
 // derived from the file size (which must be a multiple of the page size).
+// Open refuses a file whose Path+".wal" holds more than its header: that
+// is a committed but unapplied page-image transaction, and opening without
+// it would serve the pre-transaction pages.
 func Open(opts Options) (*Pager, error) {
 	ps := opts.PageSize
 	if ps == 0 {
@@ -147,20 +143,15 @@ func Open(opts Options) (*Pager, error) {
 		pool:     pool,
 		frames:   make(map[PageID]*frame),
 	}
-	switch opts.Eviction {
-	case LRU:
-		p.pol = &lruPolicy{}
-	case Clock:
-		p.pol = &clockPolicy{}
-	default:
-		return nil, fmt.Errorf("pager: unknown eviction policy %d", opts.Eviction)
-	}
 	if opts.Path == "" {
-		if opts.WAL {
-			return nil, errors.New("pager: WAL requires a backing file path")
-		}
 		p.be = &memBackend{pageSize: ps}
 		return p, nil
+	}
+	walPath := opts.Path + ".wal"
+	if fi, err := os.Stat(walPath); err == nil && fi.Size() > int64(len(pageWALHeader)) {
+		return nil, fmt.Errorf("pager: %s holds a committed but unapplied page-image transaction (%d bytes); this version cannot replay it: apply it with an older release or remove the file to discard it", walPath, fi.Size())
+	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("pager: check for a leftover page log: %w", err)
 	}
 	f, err := os.OpenFile(opts.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -177,148 +168,8 @@ func Open(opts Options) (*Pager, error) {
 	}
 	p.be = &fileBackend{f: f, pageSize: ps}
 	p.nPages = PageID(fi.Size() / int64(ps))
-	if opts.WAL {
-		// Redo any committed-but-unapplied transactions, then start with
-		// an empty log.
-		walPath := opts.Path + ".wal"
-		if _, err := recoverWAL(walPath, ps, p.be, &p.nPages); err != nil {
-			f.Close()
-			return nil, err
-		}
-		// Replay may have grown the file.
-		if fi2, err := f.Stat(); err == nil {
-			p.nPages = PageID(fi2.Size() / int64(ps))
-		}
-		log, err := openWAL(walPath, ps)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := log.reset(); err != nil {
-			log.close()
-			f.Close()
-			return nil, err
-		}
-		p.log = log
-	}
 	return p, nil
 }
-
-// Begin starts a transaction: subsequent writes are applied atomically by
-// Commit. Without WAL it is a no-op. Transactions do not nest.
-func (p *Pager) Begin() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if p.inTxn {
-		return ErrTxnActive
-	}
-	p.inTxn = true
-	p.txnPages = make(map[PageID]bool)
-	return nil
-}
-
-// Commit makes the open transaction durable: its pages are appended to
-// the log, fsynced, applied to the main file, fsynced, and the log is
-// truncated. Without WAL it is a no-op.
-func (p *Pager) Commit() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if !p.inTxn {
-		return ErrNoTxn
-	}
-	images := make(map[PageID][]byte, len(p.txnPages))
-	for id := range p.txnPages {
-		fr, ok := p.frames[id]
-		if !ok {
-			return fmt.Errorf("pager: txn page %d evicted (no-steal violated)", id)
-		}
-		images[id] = fr.data
-	}
-	if len(images) > 0 {
-		if err := p.log.append(images); err != nil {
-			return err
-		}
-		if p.crashAfterWALSync {
-			return errSimulatedCrash
-		}
-		for id := range images {
-			if err := p.physWrite(p.frames[id]); err != nil {
-				return err
-			}
-		}
-		if err := p.be.sync(); err != nil {
-			return err
-		}
-		if err := p.log.reset(); err != nil {
-			return err
-		}
-	}
-	p.inTxn = false
-	p.txnPages = nil
-	return nil
-}
-
-// Rollback abandons the open transaction: its dirty pages are dropped
-// from the pool (the main file still holds the pre-transaction images, by
-// the no-steal rule). Pages allocated inside the transaction become
-// unreferenced slack in the file; callers' metadata rolls back with the
-// transaction, so nothing dangles. Without WAL it is a no-op.
-func (p *Pager) Rollback() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrClosed
-	}
-	if p.log == nil {
-		return nil
-	}
-	if !p.inTxn {
-		return ErrNoTxn
-	}
-	for id := range p.txnPages {
-		if fr, ok := p.frames[id]; ok {
-			if fr.pins > 0 {
-				return fmt.Errorf("pager: rolling back pinned page %d", id)
-			}
-			p.pol.remove(fr)
-			delete(p.frames, id)
-		}
-	}
-	p.inTxn = false
-	p.txnPages = nil
-	return nil
-}
-
-// InTxn reports whether a transaction is open.
-func (p *Pager) InTxn() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inTxn
-}
-
-// FailCommitAfterWALSync arms (or disarms) fault injection: the next
-// Commit will stop right after the log reaches durability, simulating a
-// crash before the main file is updated. For recovery tests only.
-func (p *Pager) FailCommitAfterWALSync(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.crashAfterWALSync = v
-}
-
-// IsSimulatedCrash reports whether err came from fault injection.
-func IsSimulatedCrash(err error) bool { return errors.Is(err, errSimulatedCrash) }
 
 // PageSize returns the configured page size in bytes.
 func (p *Pager) PageSize() int { return p.pageSize }
@@ -374,7 +225,7 @@ func (p *Pager) Alloc() (PageID, error) {
 	for i := range fr.data {
 		fr.data[i] = 0
 	}
-	p.markDirty(fr)
+	fr.dirty = true
 	p.unpin(fr)
 	return id, nil
 }
@@ -394,7 +245,7 @@ func (p *Pager) Free(id PageID) error {
 		if fr.pins > 0 {
 			return fmt.Errorf("pager: freeing pinned page %d", id)
 		}
-		p.pol.remove(fr)
+		p.lruUnlink(fr)
 		delete(p.frames, id)
 	}
 	p.stats.Frees++
@@ -456,7 +307,7 @@ func (p *Pager) Write(id PageID, buf []byte) error {
 		return err
 	}
 	copy(fr.data, buf)
-	p.markDirty(fr)
+	fr.dirty = true
 	p.unpin(fr)
 	return nil
 }
@@ -501,7 +352,7 @@ func (p *Pager) Update(id PageID, fn func(data []byte) error) error {
 	err = fn(fr.data)
 	p.mu.Lock()
 	if err == nil {
-		p.markDirty(fr)
+		fr.dirty = true
 	}
 	p.unpin(fr)
 	p.mu.Unlock()
@@ -514,9 +365,6 @@ func (p *Pager) Flush() error {
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
-	}
-	if p.inTxn {
-		return ErrTxnActive
 	}
 	for _, fr := range p.frames {
 		if fr.dirty {
@@ -536,10 +384,6 @@ func (p *Pager) Close() error {
 		p.mu.Unlock()
 		return nil
 	}
-	if p.inTxn {
-		p.mu.Unlock()
-		return ErrTxnActive
-	}
 	for _, fr := range p.frames {
 		if fr.pins > 0 {
 			p.mu.Unlock()
@@ -554,16 +398,9 @@ func (p *Pager) Close() error {
 	}
 	p.closed = true
 	be := p.be
-	log := p.log
 	p.frames = nil
-	p.pol = nil
+	p.lruHead, p.lruTail = nil, nil
 	p.mu.Unlock()
-	if log != nil {
-		if err := log.close(); err != nil {
-			be.close()
-			return err
-		}
-	}
 	if err := be.sync(); err != nil {
 		be.close()
 		return err
@@ -581,7 +418,7 @@ func (p *Pager) frameFor(id PageID, load bool) (*frame, error) {
 	if fr, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		if fr.pins == 0 {
-			p.pol.pinned(fr)
+			p.lruUnlink(fr)
 		}
 		fr.pins++
 		return fr, nil
@@ -606,12 +443,7 @@ func (p *Pager) makeRoom() error {
 	if len(p.frames) < p.pool {
 		return nil
 	}
-	// NO-STEAL: pages dirtied by the open transaction must stay resident
-	// until Commit writes them through the log; they are skipped when
-	// choosing a victim.
-	victim := p.pol.victim(func(fr *frame) bool {
-		return p.inTxn && p.txnPages[fr.id]
-	})
+	victim := p.lruTail
 	if victim == nil {
 		return ErrPoolFull
 	}
@@ -620,19 +452,10 @@ func (p *Pager) makeRoom() error {
 			return err
 		}
 	}
-	p.pol.remove(victim)
+	p.lruUnlink(victim)
 	delete(p.frames, victim.id)
 	p.stats.Evictions++
 	return nil
-}
-
-// markDirty flags a frame dirty and records it in the open transaction's
-// write set. Caller holds p.mu.
-func (p *Pager) markDirty(fr *frame) {
-	fr.dirty = true
-	if p.inTxn {
-		p.txnPages[fr.id] = true
-	}
 }
 
 func (p *Pager) physWrite(fr *frame) error {
@@ -644,14 +467,38 @@ func (p *Pager) physWrite(fr *frame) error {
 	return nil
 }
 
-// unpin decrements the pin count and, when it reaches zero, hands the
-// frame to the eviction policy. Caller holds p.mu.
+// unpin decrements the pin count and, when it reaches zero, puts the
+// frame at the head of the LRU list. Caller holds p.mu.
 func (p *Pager) unpin(fr *frame) {
 	fr.pins--
 	if fr.pins > 0 {
 		return
 	}
-	p.pol.unpinned(fr)
+	fr.prev = nil
+	fr.next = p.lruHead
+	if p.lruHead != nil {
+		p.lruHead.prev = fr
+	}
+	p.lruHead = fr
+	if p.lruTail == nil {
+		p.lruTail = fr
+	}
+}
+
+// lruUnlink removes a frame from the LRU list (it was pinned again or is
+// being discarded). Caller holds p.mu.
+func (p *Pager) lruUnlink(fr *frame) {
+	if fr.prev != nil {
+		fr.prev.next = fr.next
+	} else if p.lruHead == fr {
+		p.lruHead = fr.next
+	}
+	if fr.next != nil {
+		fr.next.prev = fr.prev
+	} else if p.lruTail == fr {
+		p.lruTail = fr.prev
+	}
+	fr.prev, fr.next = nil, nil
 }
 
 // fileBackend stores pages in an *os.File.

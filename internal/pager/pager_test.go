@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -244,6 +246,41 @@ func TestFileBackendRejectsCorruptSize(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesLeftoverPageWAL: a page-image log longer than its header
+// is a committed but unapplied transaction; Open must refuse the file and
+// name the log rather than serve the pre-transaction pages. An absent or
+// header-only log opens normally.
+func TestOpenRefusesLeftoverPageWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	walPath := path + ".wal"
+	p, err := Open(Options{PageSize: 128, Path: path})
+	if err != nil {
+		t.Fatalf("Open without a log: %v", err)
+	}
+	p.Close()
+
+	if err := os.WriteFile(walPath, []byte(pageWALHeader), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err = Open(Options{PageSize: 128, Path: path})
+	if err != nil {
+		t.Fatalf("Open with a header-only log: %v", err)
+	}
+	p.Close()
+
+	record := append([]byte(pageWALHeader), 1, 0, 0, 0, 0, 0, 0, 0)
+	if err := os.WriteFile(walPath, record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Options{PageSize: 128, Path: path})
+	if err == nil {
+		t.Fatal("Open accepted a log holding an unapplied transaction")
+	}
+	if !strings.Contains(err.Error(), walPath) {
+		t.Errorf("error %q does not name %s", err, walPath)
+	}
+}
+
 func TestFreeListRoundTrip(t *testing.T) {
 	p := newMemPager(t, 128, 8)
 	a, _ := p.Alloc()
@@ -381,4 +418,70 @@ func TestManyPagesStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestPoliciesCorrectUnderPressure runs a randomized read/write workload
+// with a tiny pool; contents must always read back correctly regardless
+// of eviction order.
+func TestPoliciesCorrectUnderPressure(t *testing.T) {
+	t.Run("lru", func(t *testing.T) {
+		p := newMemPager(t, 128, 4)
+		const pages = 32
+		want := make([]byte, pages)
+		for i := 0; i < pages; i++ {
+			id, err := p.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[id] = byte(i + 1)
+			if err := fill(p, id, want[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(0))
+		buf := make([]byte, 128)
+		for step := 0; step < 2000; step++ {
+			id := PageID(rng.Intn(pages))
+			if rng.Intn(4) == 0 {
+				want[id] = byte(rng.Intn(255) + 1)
+				if err := fill(p, id, want[id]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := p.Read(id, buf); err != nil {
+					t.Fatal(err)
+				}
+				if buf[0] != want[id] {
+					t.Fatalf("step %d: page %d = %#x, want %#x", step, id, buf[0], want[id])
+				}
+			}
+		}
+		if st := p.Stats(); st.Evictions == 0 {
+			t.Error("no evictions under a 4-page pool?")
+		}
+	})
+}
+
+// TestLRUHitRatioOnZipf: on a zipf-skewed workload the LRU pool should
+// serve most fetches from memory.
+func TestLRUHitRatioOnZipf(t *testing.T) {
+	p := newMemPager(t, 128, 16)
+	const pages = 128
+	for i := 0; i < pages; i++ {
+		p.Alloc()
+	}
+	rng := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(rng, 1.2, 1, pages-1)
+	buf := make([]byte, 128)
+	p.ResetStats()
+	for step := 0; step < 20000; step++ {
+		if err := p.Read(PageID(z.Uint64()), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := p.Stats().HitRatio()
+	if r < 0.5 {
+		t.Errorf("hit ratio %.3f too low for a zipf workload", r)
+	}
+	t.Logf("hit ratio: lru=%.3f", r)
 }

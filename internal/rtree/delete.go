@@ -6,10 +6,9 @@ import (
 )
 
 // Delete removes the entry with exactly this rectangle and reference.
-// It returns ErrNotFound when no such entry exists. On a WAL-enabled
-// pager the condensation and reinsertions are one atomic transaction.
+// It returns ErrNotFound when no such entry exists.
 func (t *Tree) Delete(r geom.Rect, ref Ref) error {
-	return t.inTxn(func() error { return t.deleteLocked(r, ref) })
+	return t.restoreHeaderOnError(func() error { return t.deleteLocked(r, ref) })
 }
 
 func (t *Tree) deleteLocked(r geom.Rect, ref Ref) error {

@@ -15,14 +15,12 @@ type pendingReinsert struct {
 	level uint32 // 1 = leaf level
 }
 
-// Insert adds a rectangle with its reference to the index. On a
-// WAL-enabled pager the whole structural update (splits, reinserts, meta)
-// is one atomic transaction.
+// Insert adds a rectangle with its reference to the index.
 func (t *Tree) Insert(r geom.Rect, ref Ref) error {
 	if r.IsEmpty() || r.Dim() != t.dim {
 		return fmt.Errorf("rtree: insert rect dim %d, want %d", r.Dim(), t.dim)
 	}
-	return t.inTxn(func() error {
+	return t.restoreHeaderOnError(func() error {
 		reinsertDone := make(map[uint32]bool)
 		if err := t.insertEntry(entry{rect: r.Clone(), ref: ref}, 1, reinsertDone); err != nil {
 			return err
@@ -33,23 +31,18 @@ func (t *Tree) Insert(r geom.Rect, ref Ref) error {
 	})
 }
 
-// inTxn runs a structural mutation inside a pager transaction, rolling
-// back pages AND the in-memory tree header on failure so the tree stays
-// consistent with disk.
-func (t *Tree) inTxn(fn func() error) error {
-	if err := t.pg.Begin(); err != nil {
-		return err
-	}
+// restoreHeaderOnError runs a structural mutation and, if it fails, puts
+// back the in-memory tree header (root, height, size, free-list head) so
+// a failed Insert, Delete or bulk load cannot leave the tree pointing at
+// a half-built structure.
+func (t *Tree) restoreHeaderOnError(fn func() error) error {
 	savedRoot, savedHeight, savedSize, savedFree := t.root, t.height, t.size, t.freeHead
 	if err := fn(); err != nil {
 		t.root, t.height, t.size, t.freeHead = savedRoot, savedHeight, savedSize, savedFree
 		t.dirtyMeta = true
-		if rbErr := t.pg.Rollback(); rbErr != nil {
-			return fmt.Errorf("%w (rollback also failed: %v)", err, rbErr)
-		}
 		return err
 	}
-	return t.pg.Commit()
+	return nil
 }
 
 // insertEntry inserts e at targetLevel, draining any reinsertions that the

@@ -571,3 +571,29 @@ func TestNearestNeighborsConsistentWithWithinDist(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeRollbackOnNotFoundDelete verifies that a failed mutation leaves
+// no trace: the header is restored and the tree stays fully usable.
+func TestTreeRollbackOnNotFoundDelete(t *testing.T) {
+	tr := newMemTree(t, 2, 8)
+	rng := rand.New(rand.NewSource(201))
+	for i := 0; i < 50; i++ {
+		if err := tr.Insert(randRect(rng, 2, 0.05), Ref(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	missing := randRect(rng, 2, 0.05)
+	if err := tr.Delete(missing, 12345); err != ErrNotFound {
+		t.Fatalf("Delete missing = %v", err)
+	}
+	if tr.Len() != 50 {
+		t.Errorf("Len = %d after failed delete", tr.Len())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The tree remains fully usable.
+	if err := tr.Insert(randRect(rng, 2, 0.05), 50); err != nil {
+		t.Fatalf("insert after rollback: %v", err)
+	}
+}

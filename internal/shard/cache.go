@@ -14,8 +14,7 @@ import (
 // matches under global ids, merged stats, the per-shard breakdown — so a
 // repeated query skips the entire fan-out, not just the per-shard work.
 // The same budget, split evenly, is also installed as per-shard caches
-// on the child databases, inheriting the front cache's eviction policy
-// and invalidation scope: a query that misses the front (say, after one
+// on the child databases: a query that misses the front (say, after one
 // shard ingested) still reuses the other shards' local results.
 //
 // Invalidation mirrors the single-node protocol: every ShardedDB write
@@ -40,8 +39,6 @@ func (s *ShardedDB) SetCache(c *cache.Cache) {
 		MaxEntries: (cfg.MaxEntries + n - 1) / n,
 		MaxBytes:   cfg.MaxBytes / int64(n),
 		Shards:     cfg.Shards,
-		Policy:     cfg.Policy,
-		Scope:      cfg.Scope,
 	}
 	for _, db := range s.shards {
 		db.SetCache(cache.New(per))

@@ -12,16 +12,15 @@ package shard
 //     applications re-ask hot queries heavily) and "zipf" draws from a
 //     skewed popularity distribution over a larger pool.
 //
-//   - policy_ab (TestCachePolicyAB): LRU vs GDSF under a capacity-
+//   - policy_ab (TestCachePolicyAB): GDSF eviction under a capacity-
 //     constrained mix of hot expensive queries and one-off cheap churn.
 //     The acceptance metric is hit-weighted CPU saved — the summed
 //     CPUTime of the runs that hits avoided redoing — which is what the
 //     GDSF cost term optimizes for.
 //
-//   - scope_ab (TestCacheScopeAB): epoch-flush vs MBR-scoped
-//     invalidation under mixed read/write traffic where the writes land
-//     far from the queried region. Epoch scope flushes on every write;
-//     MBR scope proves the writes harmless and keeps serving.
+//   - scope_ab (TestCacheScopeAB): MBR-scoped invalidation under mixed
+//     read/write traffic where the writes land far from the queried
+//     region. The cache proves the writes harmless and keeps serving.
 //
 // When BENCH_CACHE_OUT is set (CI sets it to BENCH_cache.json) each test
 // writes its section into the shared JSON document.
@@ -220,16 +219,16 @@ func policyABWorkload(t *testing.T, sdb *ShardedDB, hot, churn []*core.Sequence,
 	}
 }
 
-// TestCachePolicyAB is the eviction-policy acceptance measurement: under
-// a capacity-constrained mix of hot expensive queries and a stream of
-// one-off cheap queries, GDSF must beat LRU on hit-weighted CPU saved
-// (the mdseq_cache_hit_cost_saved_ns_total counter — the compute the
-// hits avoided redoing). The workload is adversarial for recency: each
-// round's churn overflows the entry cap, so LRU evicts every hot entry
-// between re-asks, while GDSF's cost × frequency priority (and its
-// self-evicting admission of cheap newcomers) keeps the expensive
-// entries resident. With BENCH_CACHE_OUT set the numbers land in the
-// policy_ab section of BENCH_cache.json.
+// TestCachePolicyAB is the eviction acceptance measurement: under a
+// capacity-constrained mix of hot expensive queries and a stream of
+// one-off cheap queries, GDSF must still serve hits and save CPU (the
+// mdseq_cache_hit_cost_saved_ns_total counter — the compute the hits
+// avoided redoing). The workload is adversarial for recency: each
+// round's churn overflows the entry cap, so a recency-only policy would
+// evict every hot entry between re-asks and save nothing, while GDSF's
+// cost × frequency priority (and its self-evicting admission of cheap
+// newcomers) keeps the expensive entries resident. With BENCH_CACHE_OUT
+// set the numbers land in the policy_ab section of BENCH_cache.json.
 func TestCachePolicyAB(t *testing.T) {
 	const (
 		hotN          = 4
@@ -260,35 +259,26 @@ func TestCachePolicyAB(t *testing.T) {
 	}
 	total := rounds * (hotN + churnPerRound)
 	l := obs.Label{Key: "cache", Value: "front"}
-	measure := func(pol cache.Policy) result {
-		reg := obs.NewRegistry()
-		front := cache.New(cache.Config{MaxEntries: capEntries, Shards: 1, Policy: pol})
-		front.SetMetrics(cache.NewMetrics(reg, "front"))
-		sdb.SetCache(front)
-		policyABWorkload(t, sdb, hot, churn, rounds, churnPerRound)
-		hits := int(reg.Counter("mdseq_cache_hits_total", "", l).Value())
-		saved := reg.Counter("mdseq_cache_hit_cost_saved_ns_total", "", l).Value()
-		return result{
-			Policy:     string(pol),
-			Queries:    total,
-			Hits:       hits,
-			HitRatio:   float64(hits) / float64(total),
-			CPUSavedMS: float64(saved) / float64(time.Millisecond),
-		}
+	reg := obs.NewRegistry()
+	front := cache.New(cache.Config{MaxEntries: capEntries, Shards: 1})
+	front.SetMetrics(cache.NewMetrics(reg, "front"))
+	sdb.SetCache(front)
+	policyABWorkload(t, sdb, hot, churn, rounds, churnPerRound)
+	hits := int(reg.Counter("mdseq_cache_hits_total", "", l).Value())
+	saved := reg.Counter("mdseq_cache_hit_cost_saved_ns_total", "", l).Value()
+	gdsf := result{
+		Policy:     "gdsf",
+		Queries:    total,
+		Hits:       hits,
+		HitRatio:   float64(hits) / float64(total),
+		CPUSavedMS: float64(saved) / float64(time.Millisecond),
 	}
-	lru := measure(cache.PolicyLRU)
-	gdsf := measure(cache.PolicyGDSF)
-	for _, r := range []result{lru, gdsf} {
-		t.Logf("%s: %d/%d hits (%.3f), %.2f ms CPU saved",
-			r.Policy, r.Hits, r.Queries, r.HitRatio, r.CPUSavedMS)
-	}
+	t.Logf("%s: %d/%d hits (%.3f), %.2f ms CPU saved",
+		gdsf.Policy, gdsf.Hits, gdsf.Queries, gdsf.HitRatio, gdsf.CPUSavedMS)
 
-	if gdsf.CPUSavedMS <= lru.CPUSavedMS {
-		t.Errorf("GDSF saved %.2f ms <= LRU's %.2f ms; cost-aware eviction must win on hit-weighted CPU",
-			gdsf.CPUSavedMS, lru.CPUSavedMS)
-	}
-	if gdsf.Hits <= lru.Hits {
-		t.Errorf("GDSF hits %d <= LRU hits %d on the churn workload", gdsf.Hits, lru.Hits)
+	if gdsf.Hits <= 0 || gdsf.CPUSavedMS <= 0 {
+		t.Errorf("GDSF served %d hits saving %.2f ms; cost-aware eviction must keep the hot entries resident through the churn",
+			gdsf.Hits, gdsf.CPUSavedMS)
 	}
 
 	mergeBenchSection(t, "policy_ab", map[string]any{
@@ -296,7 +286,7 @@ func TestCachePolicyAB(t *testing.T) {
 		"hot_queries":     hotN,
 		"churn_per_round": churnPerRound,
 		"rounds":          rounds,
-		"results":         []result{lru, gdsf},
+		"results":         []result{gdsf},
 	})
 }
 
@@ -331,15 +321,14 @@ func clusteredCorpus(t *testing.T, n, length int, base float64, seed int64) []*c
 	return seqs
 }
 
-// TestCacheScopeAB is the invalidation-scope acceptance measurement:
-// under mixed read/write traffic where the queries probe one spatial
-// cluster and the writes land in another, the MBR-scoped cache must
-// sustain a hit ratio strictly above the epoch-flush baseline. The
-// epoch-scoped run flushes the whole cache on every write (a write lands
-// between every repeat of a query here, so it barely hits at all); the
-// MBR-scoped run proves each write cannot reach any cached query's
-// region and keeps serving. With BENCH_CACHE_OUT set the numbers land in
-// the scope_ab section of BENCH_cache.json.
+// TestCacheScopeAB is the invalidation acceptance measurement: under
+// mixed read/write traffic where the queries probe one spatial cluster
+// and the writes land in another, the MBR-scoped cache must sustain a
+// hit ratio of at least 0.9. A write lands between every repeat of a
+// query here, so a whole-cache flush would barely hit at all; MBR
+// scoping proves each write cannot reach any cached query's region and
+// keeps serving. With BENCH_CACHE_OUT set the numbers land in the
+// scope_ab section of BENCH_cache.json.
 func TestCacheScopeAB(t *testing.T) {
 	const (
 		queries      = 200
@@ -364,45 +353,35 @@ func TestCacheScopeAB(t *testing.T) {
 		Hits     int     `json:"hits"`
 		HitRatio float64 `json:"hit_ratio"`
 	}
-	measure := func(scope cache.Scope) result {
-		sdb := newSharded(t, clone(reads), cacheBenchShards)
-		sdb.SetCache(cache.New(cache.Config{Scope: scope}))
-		writes := clusteredCorpus(t, queries/writeEvery+1, corpusSeqLen, 0.8, 43)
-		hits, wrote := 0, 0
-		for i := 0; i < queries; i++ {
-			_, st, err := sdb.SearchCtx(context.Background(), pool[i%poolN], eps)
-			if err != nil {
+	sdb := newSharded(t, clone(reads), cacheBenchShards)
+	sdb.SetCache(cache.New(cache.Config{}))
+	writes := clusteredCorpus(t, queries/writeEvery+1, corpusSeqLen, 0.8, 43)
+	hits, wrote := 0, 0
+	for i := 0; i < queries; i++ {
+		_, st, err := sdb.SearchCtx(context.Background(), pool[i%poolN], eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHit {
+			hits++
+		}
+		if i%writeEvery == writeEvery-1 {
+			if _, err := sdb.Add(writes[wrote]); err != nil {
 				t.Fatal(err)
 			}
-			if st.CacheHit {
-				hits++
-			}
-			if i%writeEvery == writeEvery-1 {
-				if _, err := sdb.Add(writes[wrote]); err != nil {
-					t.Fatal(err)
-				}
-				wrote++
-			}
-		}
-		return result{
-			Scope:    string(scope),
-			Queries:  queries,
-			Writes:   wrote,
-			Hits:     hits,
-			HitRatio: float64(hits) / float64(queries),
+			wrote++
 		}
 	}
-	epoch := measure(cache.ScopeEpoch)
-	mbr := measure(cache.ScopeMBR)
-	for _, r := range []result{epoch, mbr} {
-		t.Logf("%s: %d/%d hits (%.3f) across %d interleaved writes",
-			r.Scope, r.Hits, r.Queries, r.HitRatio, r.Writes)
+	mbr := result{
+		Scope:    "mbr",
+		Queries:  queries,
+		Writes:   wrote,
+		Hits:     hits,
+		HitRatio: float64(hits) / float64(queries),
 	}
+	t.Logf("%s: %d/%d hits (%.3f) across %d interleaved writes",
+		mbr.Scope, mbr.Hits, mbr.Queries, mbr.HitRatio, mbr.Writes)
 
-	if mbr.HitRatio <= epoch.HitRatio {
-		t.Errorf("mbr hit ratio %.3f <= epoch baseline %.3f; region scoping must retain hits through disjoint writes",
-			mbr.HitRatio, epoch.HitRatio)
-	}
 	if mbr.HitRatio < 0.9 {
 		t.Errorf("mbr hit ratio %.3f < 0.90: disjoint writes should invalidate nothing", mbr.HitRatio)
 	}
@@ -412,7 +391,7 @@ func TestCacheScopeAB(t *testing.T) {
 		"corpus":      corpusN,
 		"write_every": writeEvery,
 		"eps":         eps,
-		"results":     []result{epoch, mbr},
+		"results":     []result{mbr},
 	})
 }
 

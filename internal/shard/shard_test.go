@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fractal"
 	"repro/internal/geom"
@@ -380,6 +381,42 @@ func TestShardedExplainCoversCorpus(t *testing.T) {
 	for i := 1; i < len(ex.Candidates); i++ {
 		if ex.Candidates[i-1].SeqID >= ex.Candidates[i].SeqID {
 			t.Fatal("Explain candidates not sorted by global id")
+		}
+	}
+}
+
+// TestShardedRejectsNonFinite: the router fails closed like a single
+// node — a NaN coordinate is refused on write, and a NaN threshold is an
+// error from every range search rather than an empty answer.
+func TestShardedRejectsNonFinite(t *testing.T) {
+	sdb := newSharded(t, corpus(t, 12, 40, 71), 3)
+	sdb.SetCache(cache.New(cache.Config{}))
+	bad := []geom.Point{{0.1, 0.2, 0.3}, {0.1, math.NaN(), 0.3}}
+	if _, err := sdb.Add(&core.Sequence{Label: "nan", Points: bad}); err == nil {
+		t.Error("Add accepted a NaN coordinate")
+	}
+	if _, err := sdb.AddAll([]*core.Sequence{{Label: "nan", Points: bad}}); err == nil {
+		t.Error("AddAll accepted a NaN coordinate")
+	}
+	if err := sdb.AppendPoints(0, bad[1:]); err == nil {
+		t.Error("AppendPoints accepted a NaN coordinate")
+	}
+	if sdb.Len() != 12 {
+		t.Errorf("Len = %d after rejected writes; want 12", sdb.Len())
+	}
+
+	q := &core.Sequence{Points: sdb.Segmented(0).Seq.Points[:20]}
+	nan := math.NaN()
+	searches := map[string]func() error{
+		"Search":           func() error { _, _, err := sdb.Search(q, nan); return err },
+		"SearchParallel":   func() error { _, _, err := sdb.SearchParallel(q, nan, 2); return err },
+		"SearchBatch":      func() error { _, _, err := sdb.SearchBatch([]*core.Sequence{q}, nan); return err },
+		"SearchMetric":     func() error { _, _, err := sdb.SearchMetric(q, nan, core.MetricD{}); return err },
+		"SequentialSearch": func() error { _, err := sdb.SequentialSearch(q, nan); return err },
+	}
+	for name, f := range searches {
+		if f() == nil {
+			t.Errorf("%s accepted eps=NaN", name)
 		}
 	}
 }

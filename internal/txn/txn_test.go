@@ -518,3 +518,45 @@ func TestWrapRejectsDurability(t *testing.T) {
 		t.Fatal("Wrap accepted a Dir")
 	}
 }
+
+// TestRejectsNonFinite: the transaction layer fails closed before
+// anything reaches the log — a NaN coordinate is refused on add and
+// append, and a NaN threshold is an error from every range search
+// (base and delta alike) rather than an empty answer.
+func TestRejectsNonFinite(t *testing.T) {
+	db := newMem(t, 3)
+	rng := rand.New(rand.NewSource(73))
+	for i := 0; i < 6; i++ {
+		if _, err := db.Add(randSeq(rng, 3, 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := []geom.Point{{1, 2, 3}, {1, math.NaN(), 3}}
+	if _, err := db.Add(&core.Sequence{Points: bad}); err == nil {
+		t.Error("Add accepted a NaN coordinate")
+	}
+	if _, err := db.AddAll([]*core.Sequence{{Points: bad}}); err == nil {
+		t.Error("AddAll accepted a NaN coordinate")
+	}
+	if err := db.AppendPoints(0, bad[1:]); err == nil {
+		t.Error("AppendPoints accepted a NaN coordinate")
+	}
+	if db.Len() != 6 {
+		t.Errorf("Len = %d after rejected writes; want 6", db.Len())
+	}
+
+	q := randSeq(rng, 3, 15)
+	nan := math.NaN()
+	searches := map[string]func() error{
+		"Search":           func() error { _, _, err := db.Search(q, nan); return err },
+		"SearchParallel":   func() error { _, _, err := db.SearchParallel(q, nan, 2); return err },
+		"SearchBatch":      func() error { _, _, err := db.SearchBatch([]*core.Sequence{q}, nan); return err },
+		"SearchMetric":     func() error { _, _, err := db.SearchMetric(q, nan, core.MetricD{}); return err },
+		"SequentialSearch": func() error { _, err := db.SequentialSearch(q, nan); return err },
+	}
+	for name, f := range searches {
+		if f() == nil {
+			t.Errorf("%s accepted eps=NaN", name)
+		}
+	}
+}

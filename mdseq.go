@@ -237,51 +237,16 @@ func SaveSharded(db *ShardedDB, dir string) error { return store.SaveSharded(db,
 // per-shard caches behind a merged-result front cache): repeated range,
 // parallel, kNN, and batch queries are then answered from memory.
 // Eviction is by GDSF priority (recomputation cost × hit frequency /
-// size, with an aging watermark) or plain LRU; writes invalidate either
-// just the entries whose recorded query region (MBR + radius) the
-// written sequence's MBR can reach, or — under epoch scope — everything.
-// Cached answers are never stale either way, and partial scatter-gather
+// size, with an aging watermark); a write invalidates just the entries
+// whose recorded query region (MBR + radius) the written sequence's MBR
+// can reach. Cached answers are never stale, and partial scatter-gather
 // results are never cached. See QueryCacheConfig for the knobs.
 type QueryCache = cache.Cache
 
-// QueryCacheConfig sizes a QueryCache and selects its policies: entry
-// cap, approximate byte cap, lock-shard count, eviction Policy, and
-// invalidation Scope. Zero fields take the package defaults (4096
-// entries, 64 MiB, 16 shards, CachePolicyGDSF, CacheScopeMBR).
+// QueryCacheConfig sizes a QueryCache: entry cap, approximate byte cap,
+// and lock-shard count. Zero fields take the package defaults (4096
+// entries, 64 MiB, 16 shards).
 type QueryCacheConfig = cache.Config
-
-// CachePolicy selects a QueryCache's eviction policy.
-type CachePolicy = cache.Policy
-
-// The supported eviction policies.
-const (
-	// CachePolicyLRU evicts the least-recently-used entry first.
-	CachePolicyLRU CachePolicy = cache.PolicyLRU
-	// CachePolicyGDSF (the default) evicts by Greedy-Dual-Size-Frequency
-	// priority, preferring to keep entries that are expensive to
-	// recompute and frequently hit.
-	CachePolicyGDSF CachePolicy = cache.PolicyGDSF
-)
-
-// ParseCachePolicy converts a flag string ("lru", "gdsf", or "" for the
-// default) into a CachePolicy.
-func ParseCachePolicy(s string) (CachePolicy, error) { return cache.ParsePolicy(s) }
-
-// CacheScope selects how writes invalidate a QueryCache.
-type CacheScope = cache.Scope
-
-// The supported invalidation scopes.
-const (
-	// CacheScopeEpoch flushes every entry on any write.
-	CacheScopeEpoch CacheScope = cache.ScopeEpoch
-	// CacheScopeMBR (the default) removes only entries whose recorded
-	// query region the written sequence's MBR can reach.
-	CacheScopeMBR CacheScope = cache.ScopeMBR
-)
-
-// ParseCacheScope converts a flag string ("epoch", "mbr", or "" for the
-// default) into a CacheScope.
-func ParseCacheScope(s string) (CacheScope, error) { return cache.ParseScope(s) }
 
 // NewQueryCache creates a query-result cache sized by cfg.
 func NewQueryCache(cfg QueryCacheConfig) *QueryCache { return cache.New(cfg) }
